@@ -1,7 +1,7 @@
 """Handler-graph extraction for the taint analysis.
 
 Walks the corpus for ``register_handler(MessageType, self._handler)``
-and ``register_kind(prefix, validator=..., on_quorum=...)`` calls and
+and ``register_kind(prefix, context_type, body, validator=...)`` calls and
 resolves each handler expression to its function definition. The
 resulting :class:`HandlerInfo` records are the analysis roots: message
 payloads enter the system exactly here, already envelope-verified by
@@ -119,7 +119,8 @@ def extract_handlers(files: Sequence[SourceFile]) -> list[HandlerInfo]:
                         class_name=node.name, func_name=target,
                         path=src.display, line=call.lineno))
                 elif name == "register_kind" and call.args:
-                    candidates: list[ast.expr] = list(call.args[1:2])
+                    # register_kind(prefix, context_type, body, validator)
+                    candidates: list[ast.expr] = list(call.args[3:4])
                     for kw in call.keywords:
                         if kw.arg == "validator":
                             candidates = [kw.value]

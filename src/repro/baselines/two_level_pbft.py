@@ -31,16 +31,16 @@ from repro.app.base import StateMachine
 from repro.core.client import MobileClient
 from repro.core.locks import LockTable
 from repro.core.metadata import GlobalMetadata, PolicySet
-from repro.core.quorums import group_size, two_level_big_f
 from repro.core.zone import ZoneDirectory, ZoneInfo
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.errors import ConfigurationError
-from repro.messages.base import Signed, verify_signed
+from repro.messages.base import Message, Signed, verify_signed
 from repro.messages.client import ClientReply, MigrationRequest
 from repro.pbft.faults import Behavior
 from repro.pbft.host import HostNode
 from repro.pbft.replica import PBFTConfig, PBFTReplica
+from repro.quorums import group_size, two_level_big_f
 from repro.sim.events import Simulator
 from repro.sim.latency import LatencyModel, regions_for_zones
 from repro.sim.network import Network
@@ -157,9 +157,8 @@ class _GlobalHost:
     def cost_model(self) -> CostModel:
         return self._node.cost_model
 
-    @property
-    def obs(self):
-        return self._node.obs
+    def active_obs(self):
+        return self._node.active_obs()
 
     # -- host surface ---------------------------------------------------
     def register_handler(self, payload_type: type, handler: Callable) -> None:
@@ -174,10 +173,9 @@ class _GlobalHost:
         if node.endorsement is None:
             send(None)
             return
-        payload_digest = digest(payload)
-        instance = f"g2l/{payload_digest.hex()[:20]}"
-        node.endorsement.lead(instance, payload, payload_digest,
-                              use_prepare=False, on_cert=send)
+        instance = f"g2l/{digest(payload).hex()[:20]}"
+        node.endorsement.lead(instance, payload, use_prepare=False,
+                              on_cert=send)
 
     def send_signed(self, dst: str, payload: Any) -> None:
         self._endorsed(payload, lambda cert: self._node.send_signed(
@@ -243,6 +241,10 @@ class TwoLevelNode(HostNode):
                 host=self, zone_members=zone.members, f=zone.f,
                 view_provider=lambda: self.replica.view,
                 use_threshold=use_threshold_signatures)
+            # A representative's top-level message is endorsed under its
+            # own digest, which the peers re-check on receipt.
+            self.endorsement.register_kind("g2l", context_type=Message,
+                                           body=digest)
 
         self.global_replica: PBFTReplica | None = None
         if node_id in global_group:

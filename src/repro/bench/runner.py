@@ -44,8 +44,7 @@ _BENCH_SYNC = SyncConfig(stable_leader=True, checkpoint_on_migration=False,
                          global_batch_size=24, global_batch_timeout_ms=10.0,
                          commit_timeout_ms=8_000.0, phase_timeout_ms=8_000.0,
                          watch_timeout_ms=8_000.0)
-_BENCH_MIGRATION = MigrationConfig(state_timeout_ms=8_000.0,
-                                   watch_timeout_ms=8_000.0)
+_BENCH_MIGRATION = MigrationConfig(state_timeout_ms=8_000.0)
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,7 @@ _CHAOS_SYNC = SyncConfig(stable_leader=True, checkpoint_on_migration=False,
                          global_batch_size=8, global_batch_timeout_ms=5.0,
                          commit_timeout_ms=1_000.0, phase_timeout_ms=1_000.0,
                          watch_timeout_ms=800.0)
-_CHAOS_MIGRATION = MigrationConfig(state_timeout_ms=600.0,
-                                   watch_timeout_ms=800.0)
+_CHAOS_MIGRATION = MigrationConfig(state_timeout_ms=600.0)
 #: Client retransmission cadence during chaos runs (the 4 s default
 #: would outlast the whole episode).
 _CLIENT_RETRANSMIT_MS = 400.0

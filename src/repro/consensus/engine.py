@@ -197,7 +197,7 @@ class RotatingInitiatorEngine(GlobalEngine):
         return owner >= 0 and ballot.seq % len(zone_ids) == owner
 
     def on_initiator_failover(self, sync, txn) -> None:
-        obs = sync._obs()
+        obs = sync.node.active_obs()
         if obs is not None:
             obs.emit(sync.host.sim.now, "sync.redrive",
                      node=sync.node.node_id, ballot=sync._bkey(txn.ballot),

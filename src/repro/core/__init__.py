@@ -1,8 +1,7 @@
 """Ziziphus core: zones, global/meta-data protocols, deployments."""
 
-from repro.core import quorums
 from repro.core.client import MobileClient
-from repro.core.clusters import ClusterConfig, ClusterEngine
+from repro.core.clusters import ClusterEngine
 from repro.core.cross_zone import (CrossZoneConfig, CrossZoneEngine,
                                    CrossZoneRequest)
 from repro.core.audit import AuditConfig, QueryAudit
@@ -18,7 +17,6 @@ from repro.core.sync_protocol import SyncConfig, SyncEngine
 from repro.core.zone import ZoneDirectory, ZoneInfo
 
 __all__ = [
-    "ClusterConfig",
     "ClusterEngine",
     "CrossZoneConfig",
     "CrossZoneEngine",
@@ -43,5 +41,4 @@ __all__ = [
     "ZoneDirectory",
     "ZoneInfo",
     "build_ziziphus",
-    "quorums",
 ]

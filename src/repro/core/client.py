@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable
 
-from repro.core.quorums import weak_quorum
 from repro.core.zone import ZoneDirectory
 from repro.crypto.certificates import CertificateVerifier
 from repro.crypto.digest import digest
@@ -28,6 +27,7 @@ from repro.messages.client import ClientReply, ClientRequest, MigrationRequest
 from repro.messages.reads import ReadReply, ReadRequest
 from repro.messages.trace import SpanContext, trace_id
 from repro.pbft.client import CompletedRequest
+from repro.quorums import weak_quorum
 from repro.reads import ReadConfig
 from repro.sim.events import Simulator
 from repro.sim.network import Network

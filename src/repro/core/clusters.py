@@ -35,15 +35,12 @@ from repro.messages.sync import (Ballot, GlobalCommit, accept_body,
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import ZiziphusNode
 
-__all__ = ["ClusterConfig", "ClusterEngine"]
+__all__ = ["ClusterEngine"]
 
 
-@dataclass
-class ClusterConfig:
-    """Tunables for the cross-cluster protocol."""
-
-    #: Timeout waiting for PREPARED / CROSS-COMMIT before re-querying.
-    cross_timeout_ms: float = 6_000.0
+def _bkey(ballot: Ballot) -> str:
+    """Ballot as it appears in trace events (``seq.zone``)."""
+    return f"{ballot.seq}.{ballot.zone_id}"
 
 
 @dataclass
@@ -66,11 +63,9 @@ class CrossTxn:
 class ClusterEngine:
     """Runs the cross-cluster protocol for one node."""
 
-    def __init__(self, node: "ZiziphusNode",
-                 config: ClusterConfig | None = None) -> None:
+    def __init__(self, node: "ZiziphusNode") -> None:
         self.node = node
         self.directory = node.directory
-        self.config = config or ClusterConfig()
         self.my_zone = node.zone_info
         self.my_cluster = self.my_zone.cluster_id
         self._txns: dict[bytes, CrossTxn] = {}       # request digest -> state
@@ -130,9 +125,20 @@ class ClusterEngine:
         view = self.node.replica.view
         return self.node.node_id in self.my_zone.proxies(view)
 
-    def _obs(self):
-        obs = self.node.obs
-        return obs if obs is not None and obs.enabled else None
+    def _proxied_request(self, context: Any, orderer) -> Signed | None:
+        """The cross-cluster request of an endorsed sync context, when
+        this node is a proxy of ``orderer(request)``, the zone whose
+        certificate it forwards; None otherwise."""
+        batch = getattr(context, "requests", None)
+        if not batch or len(batch) != 1:
+            return None  # cross-cluster txns are ordered one per ballot
+        request = batch[0].payload
+        if not isinstance(request, MigrationRequest) or \
+                not self._is_cross(request):
+            return None
+        if self.my_zone.zone_id != orderer(request) or not self._am_proxy():
+            return None
+        return batch[0]
 
     @staticmethod
     def _span_key(request_digest: bytes) -> str:
@@ -156,7 +162,7 @@ class ClusterEngine:
         if txn.dst_ballot is not None:
             return  # already coordinating this request
         txn.role = "dst"
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             obs.count("cross.coordinated")
             obs.span_open(self.node.sim.now, "cross-cluster",
@@ -174,17 +180,10 @@ class ClusterEngine:
     # ------------------------------------------------------------------
     def _on_accept_endorsed(self, instance: str, context: Any, cert) -> None:
         """The destination zone certified its ballot: proxies CROSS-PROPOSE."""
-        batch = getattr(context, "requests", None)
-        if not batch or len(batch) != 1:
-            return  # cross-cluster transactions are ordered one per ballot
-        request_env = batch[0]
+        request_env = self._proxied_request(context, self._dst_orderer)
+        if request_env is None:
+            return
         request = request_env.payload
-        if not isinstance(request, MigrationRequest) or not self._is_cross(request):
-            return
-        if self.my_zone.zone_id != self._dst_orderer(request):
-            return
-        if not self._am_proxy():
-            return
         request_digest = digest(request)
         txn = self._txn_for(request_digest, request_env)
         if txn.sent_cross_propose:
@@ -194,7 +193,7 @@ class ClusterEngine:
         txn.dst_ballot = context.ballot
         txn.dst_prev = context.prev_ballot
         self._by_dst_ballot[context.ballot] = request_digest
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             obs.emit(self.node.sim.now, "cross.propose_sent",
                      node=self.node.node_id,
@@ -233,15 +232,9 @@ class ClusterEngine:
         src_zone = self._src_orderer(txn.request_env.payload)
         body = commit_body(prepared.src_ballot, prepared.src_prev_ballot,
                            self._body_digest(txn.request_env.payload))
-        valid = self.directory.cert_valid(prepared.cert, body, src_zone)
-        obs = self._obs()
-        if obs is not None:
-            obs.emit_cert(self.node.sim.now, self.node.node_id,
-                          "cross-prepared", src_zone, prepared.cert, valid,
-                          src=sender,
-                          ref=f"{prepared.src_ballot.seq}."
-                              f"{prepared.src_ballot.zone_id}")
-        if not valid:
+        if not self.node.check_cert("cross-prepared", prepared.cert, body,
+                                    src_zone, sender,
+                                    _bkey(prepared.src_ballot)):
             return
         txn.prepared = prepared
         txn.src_ballot = prepared.src_ballot
@@ -255,12 +248,12 @@ class ClusterEngine:
         if not self.node.replica.is_primary:
             return
         txn.finalized = True
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             obs.emit(self.node.sim.now, "cross.commit_sent",
                      node=self.node.node_id,
-                     dst_ballot=f"{txn.dst_ballot.seq}.{txn.dst_ballot.zone_id}",
-                     src_ballot=f"{txn.src_ballot.seq}.{txn.src_ballot.zone_id}")
+                     dst_ballot=_bkey(txn.dst_ballot),
+                     src_ballot=_bkey(txn.src_ballot))
         commit = CrossCommit(view=self.node.replica.view,
                              dst_ballot=txn.dst_ballot,
                              dst_prev_ballot=txn.dst_prev,
@@ -291,16 +284,9 @@ class ClusterEngine:
             return
         body = accept_body(cross.dst_ballot, cross.dst_prev_ballot,
                            self._body_digest(request))
-        dst_zone = self._dst_orderer(request)
-        valid = self.directory.cert_valid(cross.cert, body, dst_zone)
-        obs = self._obs()
-        if obs is not None:
-            obs.emit_cert(self.node.sim.now, self.node.node_id,
-                          "cross-propose", dst_zone, cross.cert, valid,
-                          src=sender,
-                          ref=f"{cross.dst_ballot.seq}."
-                              f"{cross.dst_ballot.zone_id}")
-        if not valid:
+        if not self.node.check_cert("cross-propose", cross.cert, body,
+                                    self._dst_orderer(request), sender,
+                                    _bkey(cross.dst_ballot)):
             return
         request_digest = digest(request)
         txn = self._txn_for(request_digest, cross.request)
@@ -328,17 +314,10 @@ class ClusterEngine:
 
     def _on_commit_endorsed(self, instance: str, context: Any, cert) -> None:
         """Commit-phase endorsement done: source proxies send PREPARED."""
-        batch = getattr(context, "requests", None)
-        if not batch or len(batch) != 1:
+        request_env = self._proxied_request(context, self._src_orderer)
+        if request_env is None:
             return
-        request_env = batch[0]
         request = request_env.payload
-        if not isinstance(request, MigrationRequest) or not self._is_cross(request):
-            return
-        if self.my_zone.zone_id != self._src_orderer(request):
-            return
-        if not self._am_proxy():
-            return
         request_digest = digest(request)
         txn = self._txn_for(request_digest, request_env)
         if txn.sent_prepared:
@@ -346,7 +325,7 @@ class ClusterEngine:
         txn.sent_prepared = True
         txn.src_ballot = context.ballot
         txn.src_prev = context.prev_ballot
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             obs.emit(self.node.sim.now, "cross.prepared_sent",
                      node=self.node.node_id,
@@ -380,13 +359,8 @@ class ClusterEngine:
                                   commit.cert_src)
             foreign = commit.dst_ballot
         body = commit_body(ballot, prev, self._body_digest(request))
-        valid = self.directory.cert_valid(cert, body, ballot.zone_id)
-        obs = self._obs()
-        if obs is not None:
-            obs.emit_cert(self.node.sim.now, self.node.node_id,
-                          "cross-commit", ballot.zone_id, cert, valid,
-                          src=sender, ref=f"{ballot.seq}.{ballot.zone_id}")
-        if not valid:
+        if not self.node.check_cert("cross-commit", cert, body,
+                                    ballot.zone_id, sender, _bkey(ballot)):
             return
         txn = self._txn_for(request_digest, commit.request)
         txn.dst_ballot, txn.dst_prev = commit.dst_ballot, commit.dst_prev_ballot
@@ -412,7 +386,7 @@ class ClusterEngine:
         if txn is None or txn.src_ballot is None or txn.dst_ballot is None:
             return
         self.cross_commits_executed += 1
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             obs.count("cross.executed")
             # Closes on the coordinator primary that opened the span.

@@ -118,6 +118,53 @@ def decision_body(xid: str, commit: bool, request_digest: bytes) -> bytes:
     return digest(("xz-decision", xid, commit, request_digest))
 
 
+# ----------------------------------------------------------------------
+# Endorsement payload contexts; ``body`` is the digest the zone endorses
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class XZProposeContext:
+    """Endorsed by the initiator zone before XZ-PROPOSE goes out."""
+
+    xid: str
+    request: Signed
+
+    def body(self) -> bytes:
+        return propose_body(self.xid, digest(self.request.payload))
+
+
+@dataclass(frozen=True)
+class XZAcceptedContext:
+    """Endorsed by an involved zone before XZ-ACCEPTED goes back."""
+
+    xid: str
+    zone_id: str
+    ok: bool
+    reason: str
+    request: Signed
+
+    def body(self) -> bytes:
+        return accepted_body(self.xid, self.zone_id, self.ok, self.reason)
+
+
+@dataclass(frozen=True)
+class XZDecisionContext:
+    """Endorsed by the initiator zone before XZ-COMMIT/ABORT goes out.
+
+    Carries every other involved zone's XZ-ACCEPTED so zone nodes can
+    check the primary really holds all the answers.
+    """
+
+    xid: str
+    commit: bool
+    reason: str
+    request: Signed
+    accepteds: tuple[XZAccepted, ...]
+
+    def body(self) -> bytes:
+        return decision_body(self.xid, self.commit,
+                             digest(self.request.payload))
+
+
 @dataclass
 class CrossZoneConfig:
     """Tunables for the cross-zone transaction protocol."""
@@ -159,15 +206,19 @@ class CrossZoneEngine:
         node.register_handler(XZPropose, self._on_propose)
         node.register_handler(XZAccepted, self._on_accepted)
         node.register_handler(XZDecision, self._on_decision)
-        node.endorsement.register_kind("xz-propose",
-                                       validator=self._validate_propose_ctx)
-        node.endorsement.register_kind("xz-accepted",
-                                       validator=self._validate_accepted_ctx)
-        node.endorsement.register_kind("xz-decision",
-                                       validator=self._validate_decision_ctx)
+        endorse = node.endorsement
+        endorse.register_kind("xz-propose", context_type=XZProposeContext,
+                              body=XZProposeContext.body,
+                              validator=self._validate_propose_ctx)
+        endorse.register_kind("xz-accepted", context_type=XZAcceptedContext,
+                              body=XZAcceptedContext.body,
+                              validator=self._validate_accepted_ctx)
+        endorse.register_kind("xz-decision", context_type=XZDecisionContext,
+                              body=XZDecisionContext.body,
+                              validator=self._validate_decision_ctx)
 
     # ------------------------------------------------------------------
-    # Context payloads for the endorsement rounds
+    # Helpers
     # ------------------------------------------------------------------
     def _txn(self, xid: str, request_env: Signed) -> _XZState:
         state = self._txns.get(xid)
@@ -204,25 +255,18 @@ class CrossZoneEngine:
         xid = f"{self.my_zone.zone_id}:{self._next_seq}"
         state = self._txn(xid, envelope)
         state.role = "initiator"
-        body = propose_body(xid, digest(request))
-        context = ("xz-propose-ctx", xid, envelope)
         self.node.endorsement.lead(
-            f"xz-propose/{xid}", context, body, use_prepare=True,
+            f"xz-propose/{xid}", XZProposeContext(xid, envelope),
+            use_prepare=True,
             on_cert=lambda cert, x=xid: self._send_propose(x, cert))
 
-    def _validate_propose_ctx(self, instance: str, context: Any,
+    def _validate_propose_ctx(self, instance: str, context: XZProposeContext,
                               endorse_digest: bytes) -> bool:
-        if not isinstance(context, tuple) or context[0] != "xz-propose-ctx":
+        if not verify_signed(self.node.keys, context.request):
             return False
-        _, xid, envelope = context
-        if not verify_signed(self.node.keys, envelope):
-            return False
-        request = envelope.payload
-        if not isinstance(request, CrossZoneRequest):
-            return False
-        if not self._request_ok(request):
-            return False
-        return endorse_digest == propose_body(xid, digest(request))
+        request = context.request.payload
+        return isinstance(request, CrossZoneRequest) and \
+            self._request_ok(request)
 
     def _send_propose(self, xid: str, cert: Any) -> None:
         state = self._txns[xid]
@@ -245,8 +289,8 @@ class CrossZoneEngine:
             return
         body = accepted_body(accepted.xid, accepted.zone_id, accepted.ok,
                              accepted.reason)
-        if not self.directory.cert_valid(accepted.cert, body,
-                                         accepted.zone_id):
+        if not self.node.check_cert("xz-accepted", accepted.cert, body,
+                                    accepted.zone_id, sender, accepted.xid):
             return
         state.accepted[accepted.zone_id] = accepted
         self._maybe_decide(state)
@@ -272,34 +316,30 @@ class CrossZoneEngine:
                 commit, reason = False, answer.reason
         if self.my_zone.zone_id in involved and state.prepared_ok is False:
             commit, reason = False, state.prepare_reason
-        body = decision_body(state.xid, commit, digest(request))
-        context = ("xz-decision-ctx", state.xid, commit, reason,
-                   state.request_env, tuple(state.accepted.values()))
+        context = XZDecisionContext(state.xid, commit, reason,
+                                    state.request_env,
+                                    tuple(state.accepted.values()))
         self.node.endorsement.lead(
-            f"xz-decision/{state.xid}", context, body, use_prepare=False,
+            f"xz-decision/{state.xid}", context, use_prepare=False,
             on_cert=lambda cert, x=state.xid, c=commit, r=reason:
             self._send_decision(x, c, r, cert))
 
-    def _validate_decision_ctx(self, instance: str, context: Any,
+    def _validate_decision_ctx(self, instance: str,
+                               context: XZDecisionContext,
                                endorse_digest: bytes) -> bool:
-        if not isinstance(context, tuple) or context[0] != "xz-decision-ctx":
-            return False
-        _, xid, commit, reason, envelope, accepteds = context
-        request = envelope.payload
+        request = context.request.payload
         if not isinstance(request, CrossZoneRequest):
             return False
         # Check the initiator primary really holds every involved zone's
         # endorsed answer (other than our own zone's local prepare).
-        for accepted in accepteds:
+        for accepted in context.accepteds:
             body = accepted_body(accepted.xid, accepted.zone_id, accepted.ok,
                                  accepted.reason)
             if not self.directory.cert_valid(accepted.cert, body,
                                              accepted.zone_id):
                 return False
         involved = set(request.steps) - {self.my_zone.zone_id}
-        if {a.zone_id for a in accepteds} != involved:
-            return False
-        return endorse_digest == decision_body(xid, commit, digest(request))
+        return {a.zone_id for a in context.accepteds} == involved
 
     def _send_decision(self, xid: str, commit: bool, reason: str,
                        cert: Any) -> None:
@@ -350,7 +390,8 @@ class CrossZoneEngine:
             return
         initiator_zone = propose.xid.split(":", 1)[0]
         body = propose_body(propose.xid, digest(request))
-        if not self.directory.cert_valid(propose.cert, body, initiator_zone):
+        if not self.node.check_cert("xz-propose", propose.cert, body,
+                                    initiator_zone, sender, propose.xid):
             return
         state = self._txn(propose.xid, propose.request)
         if state.role == "":
@@ -424,23 +465,18 @@ class CrossZoneEngine:
         if state.role == "initiator":
             self._maybe_decide(state)
             return
-        body = accepted_body(state.xid, self.my_zone.zone_id, ok, reason)
-        context = ("xz-accepted-ctx", state.xid, self.my_zone.zone_id,
-                   ok, reason, state.request_env)
+        context = XZAcceptedContext(state.xid, self.my_zone.zone_id, ok,
+                                    reason, state.request_env)
         self.node.endorsement.lead(
-            f"xz-accepted/{state.xid}.{self.my_zone.zone_id}", context, body,
+            f"xz-accepted/{state.xid}.{self.my_zone.zone_id}", context,
             use_prepare=False,
             on_cert=lambda cert, s=state, o=ok, r=reason:
             self._send_accepted(s, o, r, cert))
 
-    def _validate_accepted_ctx(self, instance: str, context: Any,
+    def _validate_accepted_ctx(self, instance: str,
+                               context: XZAcceptedContext,
                                endorse_digest: bytes) -> bool:
-        if not isinstance(context, tuple) or context[0] != "xz-accepted-ctx":
-            return False
-        _, xid, zone_id, ok, reason, envelope = context
-        if zone_id != self.my_zone.zone_id:
-            return False
-        return endorse_digest == accepted_body(xid, zone_id, ok, reason)
+        return context.zone_id == self.my_zone.zone_id
 
     def _send_accepted(self, state: _XZState, ok: bool, reason: str,
                        cert: Any) -> None:
@@ -463,7 +499,8 @@ class CrossZoneEngine:
             return
         initiator_zone = decision.xid.split(":", 1)[0]
         body = decision_body(decision.xid, decision.commit, digest(request))
-        if not self.directory.cert_valid(decision.cert, body, initiator_zone):
+        if not self.node.check_cert("xz-decision", decision.cert, body,
+                                    initiator_zone, sender, decision.xid):
             return
         state = self._txn(decision.xid, decision.request)
         if state.finalized:

@@ -18,7 +18,7 @@ from typing import Any, Callable
 from repro.app.banking import BankingApp
 from repro.consensus import get_backend
 from repro.core.client import MobileClient
-from repro.core.clusters import ClusterConfig, ClusterEngine
+from repro.core.clusters import ClusterEngine
 from repro.core.metadata import PolicySet
 from repro.core.migration_protocol import MigrationConfig
 from repro.core.node import ZiziphusNode
@@ -54,7 +54,6 @@ class ZiziphusConfig:
     pbft: PBFTConfig = field(default_factory=PBFTConfig)
     sync: SyncConfig = field(default_factory=SyncConfig)
     migration: MigrationConfig = field(default_factory=MigrationConfig)
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
     cost_model: CostModel = field(default_factory=CostModel)
     latency: LatencyModel = field(default_factory=LatencyModel)
     #: Certified read path (disabled by default; see repro.reads).
@@ -141,7 +140,7 @@ class ZiziphusDeployment:
                     backend=self.backend,
                     read_config=cfg.read)
                 if multi_cluster:
-                    node.cluster_engine = ClusterEngine(node, cfg.cluster)
+                    node.cluster_engine = ClusterEngine(node)
                 self.network.register(node, zone.region)
                 self.nodes[node_id] = node
 
@@ -162,10 +161,6 @@ class ZiziphusDeployment:
         members = self.directory.zone(zone_id).members
         view = max(self.nodes[m].replica.view for m in members)
         return self.nodes[self.directory.zone(zone_id).primary(view)]
-
-    def zone_of_node(self, node_id: str) -> str:
-        """The zone id hosting ``node_id``."""
-        return self.directory.zone_of(node_id)
 
     def set_behavior(self, node_id: str, behavior) -> None:
         """Swap a node's Byzantine behaviour at runtime (chaos engine).

@@ -9,6 +9,12 @@ round is inserted only when the zone itself assigns the ballot number
 (``use_prepare=True``); otherwise nodes vote directly on the primary's
 pre-prepare.
 
+Every instance belongs to a *kind* (its id prefix before ``/``), which
+declares the context type it endorses and the *body* function mapping a
+context to the signed digest. The manager computes the digest when it
+leads and refuses a pre-prepare whose digest is not the body of its
+payload before any kind validator runs.
+
 Completion is observed two ways:
 
 - the node that *leads* an instance gets its ``on_cert`` callback with the
@@ -23,23 +29,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.core.quorums import intra_zone_quorum
 from repro.crypto.certificates import QuorumCertificate
 from repro.crypto.keys import Signature
 from repro.crypto.threshold import combine_threshold
+from repro.errors import ProtocolError
 from repro.messages.base import Signed
 from repro.messages.endorse import EndorsePrepare, EndorsePrePrepare, EndorseVote
 from repro.pbft.host import HostNode
+from repro.quorums import intra_zone_quorum
 
 __all__ = ["EndorsementManager", "EndorsementInstance"]
 
-Validator = Callable[[str, Any, bytes], bool]
+Validator = Callable[[str, Any, bytes], Any]
+BodyFn = Callable[[Any], bytes]
 QuorumCallback = Callable[[str, Any, Any], None]
 CertCallback = Callable[[Any], None]
 
 
 @dataclass
 class _Kind:
+    context_type: type | None = None
+    body: BodyFn | None = None
     validator: Validator | None = None
     on_quorum: QuorumCallback | None = None
 
@@ -67,7 +77,8 @@ class EndorsementManager:
     def __init__(self, host: HostNode, zone_members: tuple[str, ...], f: int,
                  view_provider: Callable[[], int],
                  use_threshold: bool = False,
-                 quorum: int | None = None) -> None:
+                 quorum: int | None = None,
+                 suspect_primary: Callable[[], None] | None = None) -> None:
         self.host = host
         self.members = tuple(zone_members)
         self.others = tuple(m for m in zone_members if m != host.node_id)
@@ -79,6 +90,8 @@ class EndorsementManager:
         self._instances: dict[str, EndorsementInstance] = {}
         self._kinds: dict[str, _Kind] = {}
         self._retries: dict[str, int] = {}
+        self._suspect_primary = suspect_primary
+        self._watch_keys: set[Any] = set()
         host.register_handler(EndorsePrePrepare, self._on_pre_prepare)
         host.register_handler(EndorsePrepare, self._on_prepare)
         host.register_handler(EndorseVote, self._on_vote)
@@ -86,32 +99,46 @@ class EndorsementManager:
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
-    def register_kind(self, prefix: str, validator: Validator | None = None,
+    def register_kind(self, prefix: str,
+                      context_type: type | None = None,
+                      body: BodyFn | None = None,
+                      validator: Validator | None = None,
                       on_quorum: QuorumCallback | None = None) -> None:
-        """Configure validation / quorum callbacks for instances whose id
-        starts with ``prefix + "/"`` (or equals ``prefix``).
+        """Configure the instances whose id starts with ``prefix + "/"``
+        (or equals ``prefix``).
 
-        Calls merge: a later registration fills in only the callbacks it
-        provides (the cross-cluster engine adds ``on_quorum`` hooks to
-        kinds whose validators the sync engine owns).
+        ``context_type`` and ``body`` bind the endorsed digest: a context
+        of that type is endorsed under ``body(context)``, and nothing else
+        is. ``validator(instance, context, digest)`` adds the kind's own
+        checks (``True``, ``False`` or ``"retry"``); ``on_quorum`` fires on
+        every node that collects a vote quorum.
+
+        Calls merge: a later registration fills in only what it provides
+        (the cross-cluster engine adds ``on_quorum`` hooks to kinds the
+        sync engine declares).
         """
         kind = self._kinds.setdefault(prefix, _Kind())
+        if context_type is not None:
+            kind.context_type = context_type
+        if body is not None:
+            kind.body = body
         if validator is not None:
             kind.validator = validator
         if on_quorum is not None:
-            if kind.on_quorum is None:
-                kind.on_quorum = on_quorum
-            else:
-                first = kind.on_quorum
-                def chained(instance, payload, cert,
-                            _first=first, _second=on_quorum):
-                    _first(instance, payload, cert)
-                    _second(instance, payload, cert)
-                kind.on_quorum = chained
+            kind.on_quorum = on_quorum
 
     def _kind_of(self, instance: str) -> _Kind | None:
         prefix = instance.split("/", 1)[0]
         return self._kinds.get(prefix)
+
+    @staticmethod
+    def _bind(kind: _Kind | None, context: Any) -> bytes | None:
+        """The digest ``kind`` endorses for ``context``; None when the
+        kind declares no body or the context is not of its type."""
+        if kind is None or kind.body is None \
+                or not isinstance(context, kind.context_type):
+            return None
+        return kind.body(context)
 
     def _get(self, instance: str) -> EndorsementInstance:
         state = self._instances.get(instance)
@@ -124,19 +151,10 @@ class EndorsementManager:
         """Current primary of this zone (from the local view)."""
         return self.members[self.view_provider() % len(self.members)]
 
-    def _obs(self):
-        obs = self.host.obs
-        return obs if obs is not None and obs.enabled else None
-
     def has_instance(self, instance: str) -> bool:
         """Whether this node has seen the instance's pre-prepare or led it."""
         state = self._instances.get(instance)
         return state is not None and state.payload is not None
-
-    def instance_done(self, instance: str) -> bool:
-        """Whether the instance reached a vote quorum on this node."""
-        state = self._instances.get(instance)
-        return state is not None and state.done
 
     def discard(self, instance: str) -> None:
         """Drop instance state (GC after the enclosing transaction ends)."""
@@ -173,9 +191,17 @@ class EndorsementManager:
     # ------------------------------------------------------------------
     # Leader side
     # ------------------------------------------------------------------
-    def lead(self, instance: str, payload: Any, endorse_digest: bytes,
-             use_prepare: bool, on_cert: CertCallback) -> None:
-        """Start an endorsement instance as this zone's primary."""
+    def lead(self, instance: str, payload: Any, use_prepare: bool,
+             on_cert: CertCallback) -> None:
+        """Start an endorsement instance as this zone's primary.
+
+        The endorsed digest is the body of ``payload`` under the
+        instance's kind.
+        """
+        endorse_digest = self._bind(self._kind_of(instance), payload)
+        if endorse_digest is None:
+            raise ProtocolError(f"{instance}: no endorsement kind binds a "
+                                f"{type(payload).__name__} context")
         view = self.view_provider()
         state = self._get(instance)
         self._reset_for_digest(state, endorse_digest)
@@ -185,7 +211,7 @@ class EndorsementManager:
         state.use_prepare = use_prepare
         state.leading = True
         state.on_cert = on_cert
-        obs = self._obs()
+        obs = self.host.active_obs()
         if obs is not None:
             obs.count("endorse.led")
             if not state.done:
@@ -214,13 +240,42 @@ class EndorsementManager:
         self._add_share(state, self.host.node_id, share)
 
     # ------------------------------------------------------------------
+    # Watching the primary (paper §V-A)
+    # ------------------------------------------------------------------
+    def watch(self, instance: str, timeout_ms: float, key: Any = None,
+              settled: Callable[[], bool] | None = None) -> None:
+        """Suspect the zone primary unless it starts ``instance`` within
+        ``timeout_ms``: a node that expects an endorsement its primary
+        never pre-prepares initiates a view change.
+
+        With a ``key``, no watch is armed while an earlier one under the
+        same key (e.g. an earlier phase of the same ballot) is pending.
+        ``settled`` tells at expiry whether the enclosing work completed
+        on this node by another route.
+        """
+        if key is not None:
+            if key in self._watch_keys:
+                return
+            self._watch_keys.add(key)
+        self.host.set_timer(timeout_ms, self._on_watch_expired, instance,
+                            key, settled)
+
+    def _on_watch_expired(self, instance: str, key: Any,
+                          settled: Callable[[], bool] | None) -> None:
+        self._watch_keys.discard(key)
+        if self.has_instance(instance) or (settled is not None and settled()):
+            return
+        if self._suspect_primary is not None:
+            self._suspect_primary()
+
+    # ------------------------------------------------------------------
     # Node side
     # ------------------------------------------------------------------
     def _on_pre_prepare(self, sender: str, msg: EndorsePrePrepare,
                         envelope: Signed) -> None:
         if sender != self.primary():
             return
-        obs = self._obs()
+        obs = self.host.active_obs()
         if obs is not None:
             # Claimed digest as observed by this receiver: an endorsement
             # primary sending different digests to different members never
@@ -244,7 +299,9 @@ class EndorsementManager:
             if state.done or msg.view <= state.view:
                 return
         kind = self._kind_of(msg.instance)
-        if kind is not None and kind.validator is not None:
+        if self._bind(kind, msg.payload) != msg.endorse_digest:
+            return  # the digest must be the body of the payload it names
+        if kind.validator is not None:
             verdict = kind.validator(msg.instance, msg.payload,
                                      msg.endorse_digest)
             if verdict == "retry":
@@ -264,16 +321,16 @@ class EndorsementManager:
         # validated pre-prepare wins, and any shares banked against a
         # different digest restart from zero.
         self._reset_for_digest(state, msg.endorse_digest)
-        state.view = msg.view  # lint: allow[taint-flow] pre-quorum endorsement vote state; adopted only via on_quorum after 2f+1 verified shares
-        state.payload = msg.payload  # lint: allow[taint-flow] pre-quorum endorsement vote state; validator-gated above when the kind registers one
-        state.endorse_digest = msg.endorse_digest  # lint: allow[taint-flow] pre-quorum endorsement vote state; the claimed digest IS the ballot being voted on
-        state.use_prepare = msg.use_prepare  # lint: allow[taint-flow] phase selector for this vote round only; no replicated state depends on it
+        state.view = msg.view
+        state.payload = msg.payload
+        state.endorse_digest = msg.endorse_digest
+        state.use_prepare = msg.use_prepare
         if msg.use_prepare:
             prepare = EndorsePrepare(instance=msg.instance, view=msg.view,
                                      endorse_digest=msg.endorse_digest,
                                      sender=self.host.node_id)
             state.prepare_senders.add(self.host.node_id)
-            self.host.multicast_signed(self.others, prepare)  # lint: allow[taint-flow] prepare vote echoes the claimed digest: voting is how endorsement binds it
+            self.host.multicast_signed(self.others, prepare)
             self._check_prepared(state)
         else:
             self._cast_vote(state)
@@ -301,11 +358,11 @@ class EndorsementManager:
         if state.voted or state.endorse_digest is None:
             return
         state.voted = True
-        share = self.host.keys.sign(self.host.node_id, state.endorse_digest)  # lint: allow[taint-flow] a vote share deliberately signs the claimed digest (threshold endorsement primitive)
+        share = self.host.keys.sign(self.host.node_id, state.endorse_digest)
         vote = EndorseVote(instance=state.instance, view=state.view,
                            endorse_digest=state.endorse_digest, share=share,
                            sender=self.host.node_id)
-        self.host.multicast_signed(self.others, vote)  # lint: allow[taint-flow] broadcasting this node's own vote share over the claimed digest
+        self.host.multicast_signed(self.others, vote)
         self._add_share(state, self.host.node_id, share)
 
     def _on_vote(self, sender: str, msg: EndorseVote,
@@ -331,7 +388,7 @@ class EndorsementManager:
         if state.payload is None:
             return  # quorum of shares but no validated payload yet
         state.done = True
-        obs = self._obs()
+        obs = self.host.active_obs()
         if obs is not None:
             obs.count("endorse.quorum")
             # Closes only on the node that opened (led) the instance;

@@ -44,8 +44,6 @@ class MigrationConfig:
 
     #: Destination-side timeout waiting for STATE after the global commit.
     state_timeout_ms: float = 4_000.0
-    #: Non-primary timeout waiting for the primary to start an endorsement.
-    watch_timeout_ms: float = 2_000.0
 
 
 @dataclass(frozen=True)
@@ -60,6 +58,13 @@ class StateContext:
     client_id: str
     records: dict[str, Any] = field(compare=False, metadata={"digest": False})
     records_digest: bytes = b""
+
+
+def _state_body(state: StateContext | StateTransfer) -> bytes:
+    """The body both zones endorse for one migration: the source zone's
+    STATE certificate and the destination zone's append bind the same
+    digest."""
+    return state_body(state.ballot, state.client_id, state.records_digest)
 
 
 class MigrationEngine:
@@ -91,8 +96,12 @@ class MigrationEngine:
 
         node.register_handler(StateTransfer, self._on_state)
         node.endorsement.register_kind("mig-state",
+                                       context_type=StateContext,
+                                       body=_state_body,
                                        validator=self._validate_state_ctx)
         node.endorsement.register_kind("mig-append",
+                                       context_type=StateTransfer,
+                                       body=_state_body,
                                        validator=self._validate_append_ctx,
                                        on_quorum=self._on_append_quorum)
 
@@ -132,7 +141,7 @@ class MigrationEngine:
                 self._watch(key, self._instance("state", ballot,
                                                 request.sender))
         elif zone_id == request.dest_zone:
-            obs = self._obs()
+            obs = self.node.active_obs()
             if obs is not None and key not in self._applied:
                 obs.span_open(self.node.sim.now, "migration-copy",
                               self._span_key(*key), node=self.node.node_id,
@@ -150,10 +159,6 @@ class MigrationEngine:
     def _instance(self, stage: str, ballot: Ballot, client_id: str) -> str:
         return f"mig-{stage}/{ballot.seq}.{ballot.zone_id}/{client_id}"
 
-    def _obs(self):
-        obs = self.node.obs
-        return obs if obs is not None and obs.enabled else None
-
     @staticmethod
     def _span_key(ballot: Ballot, client_id: str) -> str:
         return f"{ballot.seq}.{ballot.zone_id}/{client_id}"
@@ -161,7 +166,7 @@ class MigrationEngine:
     def start_record_generation(self, ballot: Ballot,
                                 request: MigrationRequest) -> None:
         """Source primary: extract R(c), endorse it, ship it (lines 9-17)."""
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             obs.count("migration.state_led")
             obs.span_open(self.node.sim.now, "migration-state",
@@ -184,12 +189,10 @@ class MigrationEngine:
             # is the only source available.
             records = self.node.app.export_client(request.sender)
             self._captured_records[key] = records
-        records_digest = digest(records)
         context = StateContext(ballot=ballot, client_id=request.sender,
-                               records=records, records_digest=records_digest)
-        body = state_body(ballot, request.sender, records_digest)
+                               records=records, records_digest=digest(records))
         self.node.endorsement.lead(
-            self._instance("state", ballot, request.sender), context, body,
+            self._instance("state", ballot, request.sender), context,
             use_prepare=True,
             on_cert=lambda cert, b=ballot, r=request, rec=records:
             self._send_state(b, r, rec, cert))
@@ -206,7 +209,7 @@ class MigrationEngine:
         env = Signed(state, self.node.keys.sign(self.node.node_id,
                                                 digest(state)))
         self._state_envs[self._key(ballot, request.sender)] = env
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             obs.span_close(self.node.sim.now, "migration-state",
                            self._span_key(ballot, request.sender),
@@ -221,15 +224,9 @@ class MigrationEngine:
         for dst in dest_nodes:
             self.node.forward(dst, env)
 
-    def _validate_state_ctx(self, instance: str, context: Any,
+    def _validate_state_ctx(self, instance: str, context: StateContext,
                             endorse_digest: bytes) -> Any:
-        if not isinstance(context, StateContext):
-            return False
         if digest(context.records) != context.records_digest:
-            return False
-        expected = state_body(context.ballot, context.client_id,
-                              context.records_digest)
-        if endorse_digest != expected:
             return False
         # Only endorse states for migrations this zone committed as source.
         result = self.node.sync.result_for(context.ballot, context.client_id)
@@ -269,29 +266,22 @@ class MigrationEngine:
         source_zone = self._source_zone_of.get(key)
         if source_zone is None:
             return
-        body = state_body(state.ballot, state.client_id, state.records_digest)
-        valid = self.directory.cert_valid(state.cert, body, source_zone)
-        obs = self._obs()
-        if obs is not None:
-            obs.emit_cert(self.node.sim.now, self.node.node_id, "state",
-                          source_zone, state.cert, valid, src=sender,
-                          ref=f"{state.ballot.seq}.{state.ballot.zone_id}"
-                              f"/{state.client_id}")
-        if not valid:
+        if not self.node.check_cert("state", state.cert, _state_body(state),
+                                    source_zone, sender,
+                                    self._span_key(state.ballot,
+                                                   state.client_id)):
             return
         self._state_envs.setdefault(key, envelope)
         instance = self._instance("append", state.ballot, state.client_id)
         if self.node.replica.is_primary:
             self.node.endorsement.lead(
-                instance, state, body, use_prepare=False,
+                instance, state, use_prepare=False,
                 on_cert=lambda cert: None)
         else:
             self._watch(key, instance)
 
-    def _validate_append_ctx(self, instance: str, context: Any,
+    def _validate_append_ctx(self, instance: str, context: StateTransfer,
                              endorse_digest: bytes) -> Any:
-        if not isinstance(context, StateTransfer):
-            return False
         ballot = context.ballot
         if self.node.sync.result_for(self._canonical(ballot),
                                      context.client_id) is None:
@@ -302,10 +292,9 @@ class MigrationEngine:
         source_zone = self._source_zone_of.get(key)
         if source_zone is None:
             return False
-        body = state_body(ballot, context.client_id, context.records_digest)
-        if endorse_digest != body:
-            return False
-        return self.directory.cert_valid(context.cert, body, source_zone)
+        # The endorsed digest is the STATE body the source zone certified.
+        return self.directory.cert_valid(context.cert, endorse_digest,
+                                         source_zone)
 
     def _on_append_quorum(self, instance: str, context: Any, cert) -> None:
         """Lines 22-25: every destination node appends on the vote quorum."""
@@ -316,7 +305,7 @@ class MigrationEngine:
             return
         self._applied.add(key)
         self._cancel_state_timer(key)
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             obs.count("migration.applied")
             obs.span_close(self.node.sim.now, "migration-copy",
@@ -356,16 +345,12 @@ class MigrationEngine:
     # Failure handling
     # ------------------------------------------------------------------
     def _watch(self, key: MigKey, instance: str) -> None:
-        self.node.set_timer(self.config.watch_timeout_ms,
-                            self._on_watch_expired, key, instance)
-
-    def _on_watch_expired(self, key: MigKey, instance: str) -> None:
-        if key in self._applied:
-            return
-        if self.node.endorsement.instance_done(instance):
-            return
-        if not self.node.endorsement.has_instance(instance):
-            self.node.replica.view_changes.initiate(self.node.replica.view + 1)
+        # A re-shipped STATE may name the ballot's other alias, so the
+        # migration can complete through another instance than the one
+        # watched here.
+        self.node.endorsement.watch(
+            instance, self.node.sync.config.watch_timeout_ms,
+            settled=lambda: key in self._applied)
 
     def _arm_state_timer(self, key: MigKey,
                          request: MigrationRequest) -> None:

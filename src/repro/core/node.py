@@ -77,7 +77,8 @@ class ZiziphusNode(HostNode):
             host=self, zone_members=self.zone_info.members,
             f=self.zone_info.f, view_provider=lambda: self.replica.view,
             use_threshold=use_threshold_signatures,
-            quorum=profile.certificate_quorum)
+            quorum=profile.certificate_quorum,
+            suspect_primary=self.suspect_primary)
         cluster_zone_ids = directory.cluster_zones(self.zone_info.cluster_id)
         self.sync = SyncEngine(self, cluster_zone_ids, sync_config,
                                engine=self.backend.sync)
@@ -116,6 +117,23 @@ class ZiziphusNode(HostNode):
                             client_id=request.sender, result=result,
                             sender=self.node_id)
         self.send_signed(request.sender, reply)
+
+    def suspect_primary(self) -> None:
+        """Initiate a view change away from this zone's current primary."""
+        self.replica.view_changes.initiate(self.replica.view + 1)
+
+    def check_cert(self, msg: str, cert, body: bytes, zone_id: str,
+                   src: str, ref: str) -> bool:
+        """Certificate intake: whether ``cert`` proves ``2f+1`` of
+        ``zone_id`` signed ``body`` (recomputed from the message). The
+        check is reported to the conformance monitor, which flags a
+        forged certificate against its sender ``src``."""
+        valid = self.directory.cert_valid(cert, body, zone_id)
+        obs = self.active_obs()
+        if obs is not None:
+            obs.emit_cert(self.sim.now, self.node_id, msg, zone_id, cert,
+                          valid, src=src, ref=ref)
+        return valid
 
     def register_local_client(self, client_id: str) -> None:
         """Bootstrap: mark a client as hosted by this zone, data current."""

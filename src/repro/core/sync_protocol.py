@@ -60,7 +60,8 @@ class SyncConfig:
     commit_timeout_ms: float = 4_000.0
     #: Initiator timeout waiting for a majority of PROMISE/ACCEPTED.
     phase_timeout_ms: float = 4_000.0
-    #: Non-primary timeout waiting for the primary to start an endorsement.
+    #: Non-primary timeout waiting for the primary to start an endorsement
+    #: (sync and migration phases) or to order a forwarded request.
     watch_timeout_ms: float = 2_000.0
     #: Generate a local checkpoint whenever a migration request arrives
     #: (the paper's lazy-synchronization policy).
@@ -70,7 +71,8 @@ class SyncConfig:
 
 
 # ----------------------------------------------------------------------
-# Endorsement payload contexts (what intra-zone nodes validate and sign)
+# Endorsement payload contexts (what intra-zone nodes validate and sign);
+# ``body`` is the digest the zone endorses for the context.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ProposeContext:
@@ -78,6 +80,9 @@ class ProposeContext:
 
     ballot: Ballot
     requests: tuple[Signed, ...]
+
+    def body(self) -> bytes:
+        return propose_body(self.ballot, batch_digest(self.requests))
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,10 @@ class PromiseContext:
     prev_ballot: Ballot
     zone_id: str
     propose: Propose
+
+    def body(self) -> bytes:
+        return promise_body(self.ballot, self.prev_ballot, self.zone_id,
+                            batch_digest(self.propose.requests))
 
 
 @dataclass(frozen=True)
@@ -104,6 +113,10 @@ class AcceptContext:
     requests: tuple[Signed, ...]
     promises: tuple[Signed, ...]
 
+    def body(self) -> bytes:
+        return accept_body(self.ballot, self.prev_ballot,
+                           batch_digest(self.requests))
+
 
 @dataclass(frozen=True)
 class AcceptedContext:
@@ -114,6 +127,10 @@ class AcceptedContext:
     zone_id: str
     accept: Accept
 
+    def body(self) -> bytes:
+        return accepted_body(self.ballot, self.prev_ballot, self.zone_id,
+                             self.accept.request_digest)
+
 
 @dataclass(frozen=True)
 class CommitContext:
@@ -123,6 +140,10 @@ class CommitContext:
     prev_ballot: Ballot
     requests: tuple[Signed, ...]
     accepteds: tuple[Signed, ...]
+
+    def body(self) -> bytes:
+        return commit_body(self.ballot, self.prev_ballot,
+                           batch_digest(self.requests))
 
 
 @dataclass
@@ -142,7 +163,6 @@ class GlobalTxnState:
     executed: bool = False
     commit_timer: Any = None
     phase_timer: Any = None
-    watch_timer: Any = None
 
 
 def batch_digest(batch: tuple[Signed, ...]) -> bytes:
@@ -154,14 +174,11 @@ class SyncEngine:
     """Runs Algorithm 1 for one node within one set of participant zones."""
 
     def __init__(self, node: "ZiziphusNode", zone_ids: list[str],
-                 config: SyncConfig | None = None,
-                 instance_prefix: str = "gsync",
-                 engine=None) -> None:
+                 config: SyncConfig | None = None, engine=None) -> None:
         self.node = node
         self.directory = node.directory
         self.zone_ids = list(zone_ids)
         self.config = config or SyncConfig()
-        self.prefix = instance_prefix
         self.my_zone = node.zone_info
         if engine is None:
             from repro.consensus import STABLE_INITIATOR
@@ -211,15 +228,20 @@ class SyncEngine:
         host.register_handler(ResponseQuery, self._on_response_query)
 
         endorse = node.endorsement
-        endorse.register_kind(f"{self.prefix}-propose",
+        endorse.register_kind("gsync-propose", context_type=ProposeContext,
+                              body=ProposeContext.body,
                               validator=self._validate_propose_ctx)
-        endorse.register_kind(f"{self.prefix}-promise",
+        endorse.register_kind("gsync-promise", context_type=PromiseContext,
+                              body=PromiseContext.body,
                               validator=self._validate_promise_ctx)
-        endorse.register_kind(f"{self.prefix}-accept",
+        endorse.register_kind("gsync-accept", context_type=AcceptContext,
+                              body=AcceptContext.body,
                               validator=self._validate_accept_ctx)
-        endorse.register_kind(f"{self.prefix}-accepted",
+        endorse.register_kind("gsync-accepted", context_type=AcceptedContext,
+                              body=AcceptedContext.body,
                               validator=self._validate_accepted_ctx)
-        endorse.register_kind(f"{self.prefix}-commit",
+        endorse.register_kind("gsync-commit", context_type=CommitContext,
+                              body=CommitContext.body,
                               validator=self._validate_commit_ctx)
         node.replica.on_view_change.append(self._on_local_view_change)
 
@@ -232,29 +254,26 @@ class SyncEngine:
         return self.node
 
     def _instance(self, phase: str, ballot: Ballot) -> str:
-        return f"{self.prefix}-{phase}/{ballot.seq}.{ballot.zone_id}"
-
-    def _obs(self):
-        obs = self.host.obs
-        return obs if obs is not None and obs.enabled else None
+        return f"gsync-{phase}/{ballot.seq}.{ballot.zone_id}"
 
     @staticmethod
     def _bkey(ballot: Ballot) -> str:
         return f"{ballot.seq}.{ballot.zone_id}"
-
-    def _emit_cert(self, msg: str, zone_id: str, cert, valid: bool,
-                   src: str, ref: str) -> None:
-        """Report a certificate check to the conformance monitor."""
-        obs = self._obs()
-        if obs is not None:
-            obs.emit_cert(self.host.sim.now, self.node.node_id, msg,
-                          zone_id, cert, valid, src=src, ref=ref)
 
     def _txn(self, ballot: Ballot) -> GlobalTxnState:
         txn = self.txns.get(ballot)
         if txn is None:
             txn = GlobalTxnState(ballot=ballot)
             self.txns[ballot] = txn
+        return txn
+
+    def _adopt_batch(self, ballot: Ballot,
+                     batch: tuple[Signed, ...]) -> GlobalTxnState:
+        """Record a certified ballot and its batch on this node."""
+        self.highest_seen = max(self.highest_seen, ballot.seq)
+        txn = self._txn(ballot)
+        txn.batch = batch
+        txn.request_digest = batch_digest(batch)
         return txn
 
     def _is_zone_primary(self) -> bool:
@@ -309,6 +328,38 @@ class SyncEngine:
                 return False
         return True
 
+    def _majority_certified(self, envelopes: tuple[Signed, ...],
+                            ballot: Ballot, answer_type: type,
+                            body) -> bool:
+        """Whether ``envelopes`` hold certified ``answer_type`` (PROMISE or
+        ACCEPTED) answers for ``ballot`` from a majority of zones; the
+        initiator zone's own agreement counts as one. ``body`` is the
+        answer's body function (``promise_body`` / ``accepted_body``)."""
+        zones = set()
+        for env in envelopes:
+            if not verify_signed(self.host.keys, env):
+                continue
+            answer = env.payload
+            if not isinstance(answer, answer_type) or answer.ballot != ballot:
+                continue
+            if self.directory.cert_valid(
+                    answer.cert, body(answer.ballot, answer.prev_ballot,
+                                      answer.zone_id, answer.request_digest),
+                    answer.zone_id):
+                zones.add(answer.zone_id)
+        return len(zones) + 1 >= self.majority
+
+    def _seq_free(self, ballot: Ballot, claim: bool = True) -> bool:
+        """Lemma 5.5 guard: the zone endorses at most one ballot per global
+        sequence number. Whether no other zone's ballot holds
+        ``ballot.seq`` here; with ``claim``, ``ballot`` then holds it."""
+        rival = self.accepted_seqs.get(ballot.seq)
+        if rival is not None and rival != ballot.zone_id:
+            return False
+        if claim:
+            self.accepted_seqs[ballot.seq] = ballot.zone_id
+        return True
+
     # ------------------------------------------------------------------
     # Client request intake and batching (initiator zone)
     # ------------------------------------------------------------------
@@ -360,16 +411,13 @@ class SyncEngine:
             batch = (batch,)
         batch = tuple(batch)
         ballot = self.engine.propose(self, batch)
-        self.highest_seen = max(self.highest_seen, ballot.seq)
         for env in batch:
             request = env.payload
             self.request_dedup[(request.sender, request.timestamp)] = ballot
-        txn = self._txn(ballot)
-        txn.batch = batch
-        txn.request_digest = batch_digest(batch)
+        txn = self._adopt_batch(ballot, batch)
         if on_ready_to_commit is not None:
             self.hold_commit[ballot] = on_ready_to_commit
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             obs.count("sync.txns")
             obs.span_open(self.host.sim.now, "global-txn", self._bkey(ballot),
@@ -408,21 +456,20 @@ class SyncEngine:
         key = (request.sender, request.timestamp)
         if key in self.request_dedup or key in self.seen_requests:
             return  # some ballot picked the request up
-        self.node.replica.view_changes.initiate(self.node.replica.view + 1)
+        self.node.suspect_primary()
 
     # ------------------------------------------------------------------
     # PROPOSE phase (initiator zone)
     # ------------------------------------------------------------------
     def _start_propose_phase(self, txn: GlobalTxnState) -> None:
         txn.phase = "propose"
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             obs.span_open(self.host.sim.now, "propose",
                           self._bkey(txn.ballot), node=self.node.node_id)
         context = ProposeContext(ballot=txn.ballot, requests=txn.batch)
-        body = propose_body(txn.ballot, txn.request_digest)
         self.node.endorsement.lead(
-            self._instance("propose", txn.ballot), context, body,
+            self._instance("propose", txn.ballot), context,
             use_prepare=self._use_prepare(assigning_ballot=True),
             on_cert=lambda cert, b=txn.ballot: self._send_propose(b, cert))
 
@@ -432,7 +479,7 @@ class SyncEngine:
                           requests=txn.batch, cert=cert,
                           sender=self.node.node_id)
         txn.phase = "promise-wait"
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             now = self.host.sim.now
             obs.span_close(now, "propose", self._bkey(ballot),
@@ -442,14 +489,9 @@ class SyncEngine:
         self.host.multicast_signed(self._other_zone_nodes(), propose)
         self._arm_phase_timer(txn, "promise-wait")
 
-    def _validate_propose_ctx(self, instance: str, context: Any,
+    def _validate_propose_ctx(self, instance: str, context: ProposeContext,
                               endorse_digest: bytes) -> bool:
-        if not isinstance(context, ProposeContext):
-            return False
         if not self._valid_batch(context.requests):
-            return False
-        if endorse_digest != propose_body(context.ballot,
-                                          batch_digest(context.requests)):
             return False
         if context.ballot.zone_id != self.my_zone.zone_id:
             return False
@@ -457,10 +499,7 @@ class SyncEngine:
             return False
         if context.ballot.seq <= self.highest_seen - 1:
             return False  # stale/duplicate sequence from the primary
-        self.highest_seen = max(self.highest_seen, context.ballot.seq)
-        txn = self._txn(context.ballot)
-        txn.batch = context.requests
-        txn.request_digest = batch_digest(context.requests)
+        self._adopt_batch(context.ballot, context.requests)
         return True
 
     # ------------------------------------------------------------------
@@ -469,21 +508,16 @@ class SyncEngine:
     def _on_propose(self, sender: str, propose: Propose,
                     envelope: Signed) -> None:
         body = propose_body(propose.ballot, batch_digest(propose.requests))
-        valid = self.directory.cert_valid(propose.cert, body,
-                                          propose.ballot.zone_id)
-        self._emit_cert("propose", propose.ballot.zone_id, propose.cert,
-                        valid, sender, self._bkey(propose.ballot))
-        if not valid:
+        if not self.node.check_cert("propose", propose.cert, body,
+                                    propose.ballot.zone_id, sender,
+                                    self._bkey(propose.ballot)):
             return
         if propose.ballot.seq <= self.highest_seen and \
                 propose.ballot not in self.txns:
             return  # stale proposal; initiator will retry with a higher n
         if not self._valid_batch(propose.requests):
             return
-        self.highest_seen = max(self.highest_seen, propose.ballot.seq)
-        txn = self._txn(propose.ballot)
-        txn.batch = propose.requests
-        txn.request_digest = batch_digest(propose.requests)
+        txn = self._adopt_batch(propose.ballot, propose.requests)
         self._mark_stale_sources(propose.requests)
         if self.config.checkpoint_on_migration:
             self.node.replica.checkpoints.generate(
@@ -494,15 +528,15 @@ class SyncEngine:
                                      prev_ballot=self.last_accepted,
                                      zone_id=self.my_zone.zone_id,
                                      propose=propose)
-            body = promise_body(propose.ballot, self.last_accepted,
-                                self.my_zone.zone_id, txn.request_digest)
             self.node.endorsement.lead(
-                instance, context, body,
+                instance, context,
                 use_prepare=self._use_prepare(assigning_ballot=False),
                 on_cert=lambda cert, b=propose.ballot,
                 prev=self.last_accepted: self._send_promise(b, prev, cert))
         else:
-            self._watch_endorsement(txn, instance)
+            self.node.endorsement.watch(instance,
+                                        self.config.watch_timeout_ms,
+                                        key=txn.ballot)
 
     def _send_promise(self, ballot: Ballot, prev: Ballot, cert) -> None:
         txn = self._txn(ballot)
@@ -511,7 +545,7 @@ class SyncEngine:
                           request_digest=txn.request_digest, cert=cert,
                           sender=self.node.node_id)
         txn.phase = "promised"
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             obs.emit(self.host.sim.now, "sync.promise",
                      node=self.node.node_id, ballot=self._bkey(ballot),
@@ -519,10 +553,8 @@ class SyncEngine:
         initiator_nodes = self.directory.zone(ballot.zone_id).members
         self.host.multicast_signed(initiator_nodes, promise)
 
-    def _validate_promise_ctx(self, instance: str, context: Any,
+    def _validate_promise_ctx(self, instance: str, context: PromiseContext,
                               endorse_digest: bytes) -> bool:
-        if not isinstance(context, PromiseContext):
-            return False
         if context.zone_id != self.my_zone.zone_id:
             return False
         propose = context.propose
@@ -530,17 +562,9 @@ class SyncEngine:
         if not self.directory.cert_valid(propose.cert, body,
                                          propose.ballot.zone_id):
             return False
-        expected = promise_body(context.ballot, context.prev_ballot,
-                                context.zone_id,
-                                batch_digest(propose.requests))
-        if endorse_digest != expected:
-            return False
         if context.prev_ballot >= context.ballot:
             return False
-        self.highest_seen = max(self.highest_seen, context.ballot.seq)
-        txn = self._txn(context.ballot)
-        txn.batch = propose.requests
-        txn.request_digest = batch_digest(propose.requests)
+        self._adopt_batch(context.ballot, propose.requests)
         self._mark_stale_sources(propose.requests)
         return True
 
@@ -553,27 +577,34 @@ class SyncEngine:
             return
         body = promise_body(promise.ballot, promise.prev_ballot,
                             promise.zone_id, promise.request_digest)
-        valid = self.directory.cert_valid(promise.cert, body,
-                                          promise.zone_id)
-        self._emit_cert("promise", promise.zone_id, promise.cert, valid,
-                        sender, self._bkey(promise.ballot))
-        if not valid:
+        if not self.node.check_cert("promise", promise.cert, body,
+                                    promise.zone_id, sender,
+                                    self._bkey(promise.ballot)):
             return
-        txn = self._txn(promise.ballot)
-        txn.promises[promise.zone_id] = envelope
-        if not self._is_zone_primary() or txn.phase != "promise-wait":
-            return
-        # +1: the initiator zone's own (certified) agreement counts.
-        if len(txn.promises) + 1 >= self.majority:
-            self._cancel_phase_timer(txn)
-            obs = self._obs()
-            if obs is not None:
-                obs.span_close(self.host.sim.now, "promise",
-                               self._bkey(promise.ballot),
-                               node=self.node.node_id,
-                               zones=len(txn.promises) + 1)
+        txn = self._bank_answer("promise", promise, envelope)
+        if txn is not None:
             self._start_accept_phase(txn,
                                      promises=tuple(txn.promises.values()))
+
+    def _bank_answer(self, msg: str, answer: Promise | Accepted,
+                     envelope: Signed) -> GlobalTxnState | None:
+        """Bank a certified PROMISE or ACCEPTED (``msg``) at the initiator
+        zone; returns the ballot's state once this primary, waiting for
+        these answers, holds a majority of zones."""
+        txn = self._txn(answer.ballot)
+        answers = txn.promises if msg == "promise" else txn.accepteds
+        answers[answer.zone_id] = envelope
+        if not self._is_zone_primary() or txn.phase != f"{msg}-wait":
+            return None
+        # +1: the initiator zone's own (certified) agreement counts.
+        if len(answers) + 1 < self.majority:
+            return None
+        self._cancel_phase_timer(txn)
+        obs = self.node.active_obs()
+        if obs is not None:
+            obs.span_close(self.host.sim.now, msg, self._bkey(answer.ballot),
+                           node=self.node.node_id, zones=len(answers) + 1)
+        return txn
 
     def _start_accept_phase(self, txn: GlobalTxnState,
                             promises: tuple[Signed, ...]) -> None:
@@ -581,7 +612,7 @@ class SyncEngine:
                    + [env.payload.prev_ballot for env in promises])
         txn.prev_ballot = prev
         txn.phase = "accept"
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             obs.span_open(self.host.sim.now, "accept",
                           self._bkey(txn.ballot), node=self.node.node_id)
@@ -589,7 +620,6 @@ class SyncEngine:
         self.last_accepted = max(self.last_accepted, txn.ballot)
         context = AcceptContext(ballot=txn.ballot, prev_ballot=prev,
                                 requests=txn.batch, promises=promises)
-        body = accept_body(txn.ballot, prev, txn.request_digest)
         assigning = self.config.stable_leader  # ballot first certified here
         # Armed before lead(): the endorsement can wedge (a crashed
         # primary's conflicting assignment holds members' votes hostage
@@ -597,7 +627,7 @@ class SyncEngine:
         # the pre-prepare. A synchronous cert re-arms for accepted-wait.
         self._arm_phase_timer(txn, "accept")
         self.node.endorsement.lead(
-            self._instance("accept", txn.ballot), context, body,
+            self._instance("accept", txn.ballot), context,
             use_prepare=self._use_prepare(assigning_ballot=assigning),
             on_cert=lambda cert, b=txn.ballot: self._send_accept(b, cert))
 
@@ -611,7 +641,7 @@ class SyncEngine:
         txn.phase = "accepted-wait"
         txn.accept_env = Signed(accept, self.host.keys.sign(
             self.node.node_id, digest(accept)))
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             now = self.host.sim.now
             obs.span_close(now, "accept", self._bkey(ballot),
@@ -621,45 +651,22 @@ class SyncEngine:
         self.host.multicast_signed(self._other_zone_nodes(), accept)
         self._arm_phase_timer(txn, "accepted-wait")
 
-    def _validate_accept_ctx(self, instance: str, context: Any,
+    def _validate_accept_ctx(self, instance: str, context: AcceptContext,
                              endorse_digest: bytes) -> bool:
-        if not isinstance(context, AcceptContext):
-            return False
         if context.ballot.zone_id != self.my_zone.zone_id:
             return False
         if not self.engine.valid_assignment(context.ballot, self.zone_ids):
             return False
         if not self._valid_batch(context.requests):
             return False
-        request_digest = batch_digest(context.requests)
-        if endorse_digest != accept_body(context.ballot, context.prev_ballot,
-                                         request_digest):
+        # Check the majority of promises the primary claims to have.
+        if not self.config.stable_leader and not self._majority_certified(
+                context.promises, context.ballot, Promise, promise_body):
             return False
-        if not self.config.stable_leader:
-            # Check the majority of promises the primary claims to have.
-            zones = set()
-            for env in context.promises:
-                if not verify_signed(self.host.keys, env):
-                    continue
-                promise = env.payload
-                if promise.ballot != context.ballot:
-                    continue
-                body = promise_body(promise.ballot, promise.prev_ballot,
-                                    promise.zone_id, promise.request_digest)
-                if self.directory.cert_valid(promise.cert, body,
-                                             promise.zone_id):
-                    zones.add(promise.zone_id)
-            if len(zones) + 1 < self.majority:
-                return False
-        rival = self.accepted_seqs.get(context.ballot.seq)
-        if rival is not None and rival != context.ballot.zone_id:
-            return False  # Lemma 5.5 guard
-        self.accepted_seqs[context.ballot.seq] = context.ballot.zone_id
-        self.highest_seen = max(self.highest_seen, context.ballot.seq)
+        if not self._seq_free(context.ballot):
+            return False
         self.last_accepted = max(self.last_accepted, context.ballot)
-        txn = self._txn(context.ballot)
-        txn.batch = context.requests
-        txn.request_digest = request_digest
+        txn = self._adopt_batch(context.ballot, context.requests)
         txn.prev_ballot = context.prev_ballot
         self._mark_stale_sources(context.requests)
         return True
@@ -671,17 +678,14 @@ class SyncEngine:
                    envelope: Signed) -> None:
         body = accept_body(accept.ballot, accept.prev_ballot,
                            accept.request_digest)
-        valid = self.directory.cert_valid(accept.cert, body,
-                                          accept.ballot.zone_id)
-        self._emit_cert("accept", accept.ballot.zone_id, accept.cert,
-                        valid, sender, self._bkey(accept.ballot))
-        if not valid:
+        if not self.node.check_cert("accept", accept.cert, body,
+                                    accept.ballot.zone_id, sender,
+                                    self._bkey(accept.ballot)):
             return
         if not self.engine.valid_assignment(accept.ballot, self.zone_ids):
             return  # sequence not assignable by that zone under this backend
-        rival = self.accepted_seqs.get(accept.ballot.seq)
-        if rival is not None and rival != accept.ballot.zone_id:
-            return  # Lemma 5.5: never endorse two ballots at one sequence
+        if not self._seq_free(accept.ballot, claim=False):
+            return
         txn = self._txn(accept.ballot)
         if txn.phase in ("accepted", "committed") or txn.committed:
             # Duplicate ACCEPT: the initiator zone is probing because our
@@ -712,25 +716,25 @@ class SyncEngine:
                                       accept=accept)
             self.node.endorsement.lead(
                 instance, context,
-                accepted_body(accept.ballot, accept.prev_ballot,
-                              self.my_zone.zone_id, accept.request_digest),
                 use_prepare=self._use_prepare(assigning_ballot=False),
                 on_cert=lambda cert, b=accept.ballot: self._send_accepted(b, cert))
         else:
-            self._watch_endorsement(txn, instance)
+            self.node.endorsement.watch(instance,
+                                        self.config.watch_timeout_ms,
+                                        key=txn.ballot)
 
     def _send_accepted(self, ballot: Ballot, cert) -> None:
         txn = self._txn(ballot)
         txn.phase = "accepted"
         self.last_accepted = max(self.last_accepted, ballot)
-        self.accepted_seqs[ballot.seq] = ballot.zone_id
+        self._seq_free(ballot)  # claim the sequence for the certified ballot
         accepted = Accepted(view=self.node.replica.view, ballot=ballot,
                             prev_ballot=txn.prev_ballot,
                             zone_id=self.my_zone.zone_id,
                             request_digest=txn.request_digest, cert=cert,
                             checkpoint=self._my_checkpoint_ref(),
                             sender=self.node.node_id)
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             obs.emit(self.host.sim.now, "sync.accepted",
                      node=self.node.node_id, ballot=self._bkey(ballot),
@@ -739,10 +743,8 @@ class SyncEngine:
         self.host.multicast_signed(initiator_nodes, accepted)
         self._arm_commit_timer(txn)
 
-    def _validate_accepted_ctx(self, instance: str, context: Any,
+    def _validate_accepted_ctx(self, instance: str, context: AcceptedContext,
                                endorse_digest: bytes) -> bool:
-        if not isinstance(context, AcceptedContext):
-            return False
         if context.zone_id != self.my_zone.zone_id:
             return False
         accept = context.accept
@@ -751,14 +753,8 @@ class SyncEngine:
         if not self.directory.cert_valid(accept.cert, body,
                                          accept.ballot.zone_id):
             return False
-        expected = accepted_body(context.ballot, context.prev_ballot,
-                                 context.zone_id, accept.request_digest)
-        if endorse_digest != expected:
+        if not self._seq_free(context.ballot):
             return False
-        rival = self.accepted_seqs.get(context.ballot.seq)
-        if rival is not None and rival != context.ballot.zone_id:
-            return False  # Lemma 5.5 guard
-        self.accepted_seqs[context.ballot.seq] = context.ballot.zone_id
         self.highest_seen = max(self.highest_seen, context.ballot.seq)
         self.last_accepted = max(self.last_accepted, context.ballot)
         txn = self._txn(context.ballot)
@@ -781,30 +777,19 @@ class SyncEngine:
             return
         body = accepted_body(accepted.ballot, accepted.prev_ballot,
                              accepted.zone_id, accepted.request_digest)
-        valid = self.directory.cert_valid(accepted.cert, body,
-                                          accepted.zone_id)
-        self._emit_cert("accepted", accepted.zone_id, accepted.cert,
-                        valid, sender, self._bkey(accepted.ballot))
-        if not valid:
+        if not self.node.check_cert("accepted", accepted.cert, body,
+                                    accepted.zone_id, sender,
+                                    self._bkey(accepted.ballot)):
             return
-        txn = self._txn(accepted.ballot)
-        txn.accepteds[accepted.zone_id] = envelope
-        if not self._is_zone_primary() or txn.phase != "accepted-wait":
+        txn = self._bank_answer("accepted", accepted, envelope)
+        if txn is None:
             return
-        if len(txn.accepteds) + 1 >= self.majority:
-            self._cancel_phase_timer(txn)
-            obs = self._obs()
-            if obs is not None:
-                obs.span_close(self.host.sim.now, "accepted",
-                               self._bkey(accepted.ballot),
-                               node=self.node.node_id,
-                               zones=len(txn.accepteds) + 1)
-            held = self.hold_commit.get(accepted.ballot)
-            if held is not None:
-                txn.phase = "held"
-                held(txn)
-            else:
-                self._start_commit_phase(txn)
+        held = self.hold_commit.get(accepted.ballot)
+        if held is not None:
+            txn.phase = "held"
+            held(txn)
+        else:
+            self._start_commit_phase(txn)
 
     def prepare_commit_cert(self, txn: GlobalTxnState, on_cert) -> None:
         """Run the commit-phase endorsement but hand the certificate to
@@ -812,9 +797,8 @@ class SyncEngine:
         context = CommitContext(ballot=txn.ballot, prev_ballot=txn.prev_ballot,
                                 requests=txn.batch,
                                 accepteds=tuple(txn.accepteds.values()))
-        body = commit_body(txn.ballot, txn.prev_ballot, txn.request_digest)
         self.node.endorsement.lead(
-            self._instance("commit", txn.ballot), context, body,
+            self._instance("commit", txn.ballot), context,
             use_prepare=self._use_prepare(assigning_ballot=False),
             on_cert=on_cert)
 
@@ -827,7 +811,7 @@ class SyncEngine:
 
     def _start_commit_phase(self, txn: GlobalTxnState) -> None:
         txn.phase = "commit"
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             obs.span_open(self.host.sim.now, "commit",
                           self._bkey(txn.ballot), node=self.node.node_id)
@@ -849,39 +833,21 @@ class SyncEngine:
                               requests=txn.batch, cert=cert,
                               checkpoints=tuple(checkpoints),
                               sender=self.node.node_id)
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             obs.span_close(self.host.sim.now, "commit", self._bkey(ballot),
                            node=self.node.node_id)
         self.host.multicast_signed(self._all_nodes(), commit,
                                    include_self=True)
 
-    def _validate_commit_ctx(self, instance: str, context: Any,
+    def _validate_commit_ctx(self, instance: str, context: CommitContext,
                              endorse_digest: bytes) -> bool:
-        if not isinstance(context, CommitContext):
-            return False
         if context.ballot.zone_id != self.my_zone.zone_id:
             return False
         if not self._valid_batch(context.requests):
             return False
-        request_digest = batch_digest(context.requests)
-        if endorse_digest != commit_body(context.ballot, context.prev_ballot,
-                                         request_digest):
-            return False
-        zones = set()
-        for env in context.accepteds:
-            if not verify_signed(self.host.keys, env):
-                continue
-            accepted = env.payload
-            if accepted.ballot != context.ballot:
-                continue
-            body = accepted_body(accepted.ballot, accepted.prev_ballot,
-                                 accepted.zone_id, accepted.request_digest)
-            if self.directory.cert_valid(accepted.cert, body, accepted.zone_id):
-                zones.add(accepted.zone_id)
-        if len(zones) + 1 < self.majority:
-            return False
-        return True
+        return self._majority_certified(context.accepteds, context.ballot,
+                                        Accepted, accepted_body)
 
     # ------------------------------------------------------------------
     # EXECUTION phase (every node)
@@ -890,11 +856,9 @@ class SyncEngine:
                    envelope: Signed) -> None:
         request_digest = batch_digest(commit.requests)
         body = commit_body(commit.ballot, commit.prev_ballot, request_digest)
-        valid = self.directory.cert_valid(commit.cert, body,
-                                          commit.ballot.zone_id)
-        self._emit_cert("commit", commit.ballot.zone_id, commit.cert,
-                        valid, sender, self._bkey(commit.ballot))
-        if not valid:
+        if not self.node.check_cert("commit", commit.cert, body,
+                                    commit.ballot.zone_id, sender,
+                                    self._bkey(commit.ballot)):
             return
         if not self._valid_batch(commit.requests):
             return
@@ -902,7 +866,7 @@ class SyncEngine:
         if txn.committed:
             return
         txn.committed = True
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             obs.count("sync.committed")
             prev = "" if commit.prev_ballot == GENESIS_BALLOT else \
@@ -941,7 +905,7 @@ class SyncEngine:
                                  "commit")
             return
         txn.executed = True
-        obs = self._obs()
+        obs = self.node.active_obs()
         if obs is not None:
             obs.count("sync.executed")
             # Closes on the initiator primary that opened the ballot's
@@ -1035,22 +999,6 @@ class SyncEngine:
     # ------------------------------------------------------------------
     # Timers / failure handling (paper §V-A)
     # ------------------------------------------------------------------
-    def _watch_endorsement(self, txn: GlobalTxnState, instance: str) -> None:
-        if txn.watch_timer is not None:
-            return
-        txn.watch_timer = self.host.set_timer(
-            self.config.watch_timeout_ms, self._on_watch_expired,
-            txn.ballot, instance)
-
-    def _on_watch_expired(self, ballot: Ballot, instance: str) -> None:
-        txn = self.txns.get(ballot)
-        if txn is not None:
-            txn.watch_timer = None
-        if self.node.endorsement.has_instance(instance):
-            return
-        # Our primary never started the endorsement: suspect it.
-        self.node.replica.view_changes.initiate(self.node.replica.view + 1)
-
     def _arm_commit_timer(self, txn: GlobalTxnState) -> None:
         if txn.commit_timer is not None or txn.committed:
             return
@@ -1190,7 +1138,7 @@ class SyncEngine:
                         if self.directory.zone_of(s) == querier_zone]
         if len(zone_senders) >= quorum:
             self._query_log.pop(key, None)
-            self.node.replica.view_changes.initiate(self.node.replica.view + 1)
+            self.node.suspect_primary()
 
     # ------------------------------------------------------------------
     # Local view change: the new primary re-drives in-flight transactions
@@ -1231,7 +1179,7 @@ class SyncEngine:
             txn.phase = "accept"
             self._arm_phase_timer(txn, "accept")
             self.node.endorsement.lead(
-                accept_instance, state.payload, state.endorse_digest,
+                accept_instance, state.payload,
                 use_prepare=self._use_prepare(
                     assigning_ballot=self.config.stable_leader),
                 on_cert=lambda cert, b=txn.ballot: self._send_accept(b, cert))
@@ -1268,7 +1216,7 @@ class SyncEngine:
         if state is None or state.payload is None:
             return False
         self.node.endorsement.lead(
-            instance, state.payload, state.endorse_digest,
+            instance, state.payload,
             use_prepare=self._use_prepare(False),
             on_cert=lambda cert, b=ballot: self._send_accepted(b, cert))
         return True
@@ -1284,7 +1232,7 @@ class SyncEngine:
         if state is not None and state.payload is not None:
             context = state.payload
             self.node.endorsement.lead(
-                promise_instance, context, state.endorse_digest,
+                promise_instance, context,
                 use_prepare=self._use_prepare(False),
                 on_cert=lambda cert, b=txn.ballot,
                 prev=context.prev_ballot: self._send_promise(b, prev, cert))

@@ -29,7 +29,6 @@ a live bus is byte-identical to one built from its exported trace.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -55,21 +54,9 @@ _HOPS = ("submit_ms", "consensus_ms", "reply_ms", "total_ms")
 _MAX_ORPHAN_EXAMPLES = 50
 
 
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Exact linear-interp percentile over pre-sorted values."""
-    if not sorted_values:
-        return 0.0
-    position = fraction * (len(sorted_values) - 1)
-    lower = math.floor(position)
-    upper = math.ceil(position)
-    if lower == upper:
-        return sorted_values[lower]
-    weight = position - lower
-    return sorted_values[lower] * (1 - weight) \
-        + sorted_values[upper] * weight
-
-
 def _stats(values: list[float]) -> dict[str, float]:
+    # Imported here: repro.bench sits above repro.obs in the import graph.
+    from repro.bench.metrics import _percentile
     ordered = sorted(values)
     return {
         "count": len(ordered),

@@ -189,10 +189,6 @@ class PBFTReplica:
     # ------------------------------------------------------------------
     # Instrumentation
     # ------------------------------------------------------------------
-    def _obs(self):
-        obs = self.host.obs
-        return obs if obs is not None and obs.enabled else None
-
     @staticmethod
     def _span_key(view: int, sequence: int) -> str:
         return f"v{view}.s{sequence}"
@@ -307,7 +303,7 @@ class PBFTReplica:
         slot.batch = batch
         for env in batch:
             self._digest_sequence[digest(env.payload)] = sequence
-        obs = self._obs()
+        obs = self.host.active_obs()
         if obs is not None:
             # The ``grp`` span field only exists on causal runs, so
             # causal-off traces stay byte-identical to older exports.
@@ -345,7 +341,7 @@ class PBFTReplica:
             return
         if sender != self.primary_of(pp.view):
             return
-        obs = self._obs()
+        obs = self.host.active_obs()
         if obs is not None:
             # Emitted with the *claimed* digest before validation: an
             # equivocating primary never reaches divergent commits, so
@@ -380,7 +376,7 @@ class PBFTReplica:
         slot.pre_prepare = envelope
         slot.batch_digest = pp.batch_digest
         slot.batch = pp.batch
-        obs = self._obs()
+        obs = self.host.active_obs()
         if obs is not None:
             extra = {"grp": self._causal_tag()} if obs.causal else {}
             obs.span_open(self.host.sim.now, "pbft",
@@ -468,7 +464,7 @@ class PBFTReplica:
         if len(slot.commit_senders) < self.quorum:
             return
         slot.committed = True
-        obs = self._obs()
+        obs = self.host.active_obs()
         if obs is not None:
             digest_hex = slot.batch_digest.hex() if slot.batch_digest else ""
             extra = {}
@@ -524,7 +520,7 @@ class PBFTReplica:
 
     def _execute_batch(self, slot: Slot) -> None:
         self.executed_batches += 1
-        obs = self._obs()
+        obs = self.host.active_obs()
         if obs is not None:
             obs.count("pbft.executed_batches")
             obs.count("pbft.executed_requests", len(slot.batch))
@@ -593,7 +589,7 @@ class PBFTReplica:
         for d in [d for d, s in self._digest_sequence.items()
                   if s <= checkpoint.sequence]:
             del self._digest_sequence[d]
-        obs = self._obs()
+        obs = self.host.active_obs()
         if obs is not None:
             obs.count("pbft.catchup")
             obs.emit(self.host.sim.now, "pbft.catchup",

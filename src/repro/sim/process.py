@@ -79,6 +79,12 @@ class Process:
         #: Instrumentation bus (wired by Network.register / attach).
         self.obs = None
 
+    def active_obs(self):
+        """The instrumentation bus when one is attached and enabled,
+        else None (protocol engines gate their telemetry on this)."""
+        obs = self.obs
+        return obs if obs is not None and obs.enabled else None
+
     @property
     def busy_until(self) -> float:
         """Simulated time at which the CPU's current backlog drains."""

@@ -7,6 +7,8 @@ from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.threshold import ThresholdCertificate
 from repro.core.endorsement import EndorsementManager
+from repro.errors import ProtocolError
+from repro.messages.endorse import EndorsePrePrepare
 from repro.pbft.faults import make_behavior
 from repro.pbft.host import HostNode
 from repro.sim.events import Simulator
@@ -14,7 +16,8 @@ from repro.sim.latency import LatencyModel, Region
 from repro.sim.network import Network
 
 
-def build_zone(n=4, f=1, use_threshold=False, behaviors=None, seed=21):
+def build_zone(n=4, f=1, use_threshold=False, behaviors=None, seed=21,
+               suspect_primary=None):
     sim = Simulator()
     net = Network(sim, LatencyModel(), seed=seed)
     keys = KeyRegistry(seed=seed)
@@ -27,7 +30,9 @@ def build_zone(n=4, f=1, use_threshold=False, behaviors=None, seed=21):
         net.register(host, Region.CALIFORNIA)
         manager = EndorsementManager(host, members, f,
                                      view_provider=lambda: 0,
-                                     use_threshold=use_threshold)
+                                     use_threshold=use_threshold,
+                                     suspect_primary=suspect_primary)
+        manager.register_kind("test", context_type=str, body=digest)
         hosts.append(host)
         managers.append(manager)
     return sim, hosts, managers
@@ -37,8 +42,8 @@ def test_lead_produces_quorum_certificate():
     sim, hosts, managers = build_zone()
     certs = []
     payload_digest = digest("payload")
-    managers[0].lead("test/1", "payload", payload_digest,
-                     use_prepare=False, on_cert=certs.append)
+    managers[0].lead("test/1", "payload", use_prepare=False,
+                     on_cert=certs.append)
     sim.run(until=100)
     assert len(certs) == 1
     cert = certs[0]
@@ -50,7 +55,7 @@ def test_lead_produces_quorum_certificate():
 def test_prepare_round_runs_when_requested():
     sim, hosts, managers = build_zone()
     certs = []
-    managers[0].lead("test/1", "p", digest("p"), use_prepare=True,
+    managers[0].lead("test/1", "p", use_prepare=True,
                      on_cert=certs.append)
     sim.run(until=100)
     assert len(certs) == 1
@@ -66,7 +71,7 @@ def test_every_node_observes_quorum():
         manager.register_kind(
             "test", on_quorum=lambda inst, payload, cert,
             m=manager: observed.append(m.host.node_id))
-    managers[0].lead("test/1", "p", digest("p"), use_prepare=False,
+    managers[0].lead("test/1", "p", use_prepare=False,
                      on_cert=lambda cert: None)
     sim.run(until=100)
     assert sorted(observed) == ["n0", "n1", "n2", "n3"]
@@ -77,7 +82,7 @@ def test_validator_rejection_blocks_votes():
     for manager in managers:
         manager.register_kind("test", validator=lambda i, p, d: False)
     certs = []
-    managers[0].lead("test/1", "p", digest("p"), use_prepare=False,
+    managers[0].lead("test/1", "p", use_prepare=False,
                      on_cert=certs.append)
     sim.run(until=500)
     # Only the leader's own share exists; no quorum, no certificate.
@@ -94,7 +99,7 @@ def test_retry_verdict_eventually_endorses():
     for manager in managers[1:]:
         manager.register_kind("test", validator=validator)
     certs = []
-    managers[0].lead("test/1", "p", digest("p"), use_prepare=False,
+    managers[0].lead("test/1", "p", use_prepare=False,
                      on_cert=certs.append)
     sim.schedule(50.0, lambda: ready.update(flag=True))
     sim.run(until=1_000)
@@ -105,12 +110,12 @@ def test_conflicting_pre_prepare_not_endorsed_twice():
     """A node that endorsed digest A for an instance refuses digest B."""
     sim, hosts, managers = build_zone()
     certs = []
-    managers[0].lead("test/1", "A", digest("A"), use_prepare=False,
+    managers[0].lead("test/1", "A", use_prepare=False,
                      on_cert=certs.append)
     sim.run(until=10)
     # Same instance, different payload: nodes must not re-vote.
     voted_before = managers[1].instance_state("test/1").voted
-    managers[0].lead("test/1", "B", digest("B"), use_prepare=False,
+    managers[0].lead("test/1", "B", use_prepare=False,
                      on_cert=certs.append)
     sim.run(until=100)
     state = managers[1].instance_state("test/1")
@@ -121,7 +126,7 @@ def test_conflicting_pre_prepare_not_endorsed_twice():
 def test_threshold_mode_returns_constant_size_cert():
     sim, hosts, managers = build_zone(use_threshold=True)
     certs = []
-    managers[0].lead("test/1", "p", digest("p"), use_prepare=False,
+    managers[0].lead("test/1", "p", use_prepare=False,
                      on_cert=certs.append)
     sim.run(until=100)
     assert isinstance(certs[0], ThresholdCertificate)
@@ -131,7 +136,7 @@ def test_threshold_mode_returns_constant_size_cert():
 def test_silent_nodes_do_not_block_quorum_with_f_faults():
     sim, hosts, managers = build_zone(behaviors={3: "silent"})
     certs = []
-    managers[0].lead("test/1", "p", digest("p"), use_prepare=False,
+    managers[0].lead("test/1", "p", use_prepare=False,
                      on_cert=certs.append)
     sim.run(until=200)
     assert len(certs) == 1
@@ -141,7 +146,7 @@ def test_silent_nodes_do_not_block_quorum_with_f_faults():
 def test_corrupt_share_does_not_count():
     sim, hosts, managers = build_zone(behaviors={2: "corrupt-signature"})
     certs = []
-    managers[0].lead("test/1", "p", digest("p"), use_prepare=False,
+    managers[0].lead("test/1", "p", use_prepare=False,
                      on_cert=certs.append)
     sim.run(until=200)
     assert len(certs) == 1
@@ -151,20 +156,75 @@ def test_corrupt_share_does_not_count():
 def test_lead_on_completed_instance_fires_immediately():
     sim, hosts, managers = build_zone()
     certs = []
-    managers[0].lead("test/1", "p", digest("p"), use_prepare=False,
+    managers[0].lead("test/1", "p", use_prepare=False,
                      on_cert=lambda cert: None)
     sim.run(until=100)
     # A new primary re-driving the same instance gets the cert directly.
-    managers[0].lead("test/1", "p", digest("p"), use_prepare=False,
+    managers[0].lead("test/1", "p", use_prepare=False,
                      on_cert=certs.append)
     assert len(certs) == 1
 
 
 def test_discard_clears_state():
     sim, hosts, managers = build_zone()
-    managers[0].lead("test/1", "p", digest("p"), use_prepare=False,
+    managers[0].lead("test/1", "p", use_prepare=False,
                      on_cert=lambda cert: None)
     sim.run(until=100)
     assert managers[0].has_instance("test/1")
     managers[0].discard("test/1")
     assert not managers[0].has_instance("test/1")
+
+
+def test_pre_prepare_with_unbound_digest_is_refused():
+    """A digest that is not the body of the payload gets no votes, even
+    for a kind that registers no validator."""
+    sim, hosts, managers = build_zone()
+    certs = []
+    leader = managers[0]
+    forged = EndorsePrePrepare(instance="test/1", view=0, payload="p",
+                               endorse_digest=digest("q"),
+                               use_prepare=False, sender="n0")
+    leader.host.multicast_signed(leader.others, forged)
+    sim.run(until=100)
+    assert all(not m.has_instance("test/1") for m in managers[1:])
+    assert all(not m.instance_state("test/1").voted for m in managers[1:])
+    assert certs == []
+
+
+def test_wrong_context_type_is_refused_before_the_validator():
+    sim, hosts, managers = build_zone()
+    calls = []
+    for manager in managers:
+        manager.register_kind(
+            "test", validator=lambda i, p, d: calls.append(p) or True)
+    forged = EndorsePrePrepare(instance="test/1", view=0, payload=7,
+                               endorse_digest=digest(7),
+                               use_prepare=False, sender="n0")
+    managers[0].host.multicast_signed(managers[0].others, forged)
+    sim.run(until=100)
+    assert calls == []
+    assert all(not m.has_instance("test/1") for m in managers[1:])
+
+
+def test_lead_needs_a_kind_that_binds_the_context():
+    sim, hosts, managers = build_zone()
+    with pytest.raises(ProtocolError):
+        managers[0].lead("other/1", "p", use_prepare=False,
+                         on_cert=lambda cert: None)
+    with pytest.raises(ProtocolError):
+        managers[0].lead("test/1", 7, use_prepare=False,
+                         on_cert=lambda cert: None)
+
+
+def test_watch_suspects_a_primary_that_never_starts_the_instance():
+    suspected = []
+    sim, hosts, managers = build_zone(
+        suspect_primary=lambda: suspected.append(sim.now))
+    backup = managers[1]
+    backup.watch("test/1", 50.0, key="b1")
+    backup.watch("test/2", 50.0, key="b1")   # covered by the first watch
+    backup.watch("test/3", 80.0)
+    managers[0].lead("test/3", "p", use_prepare=False,
+                     on_cert=lambda cert: None)
+    sim.run(until=200)
+    assert suspected == [50.0]

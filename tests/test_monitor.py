@@ -169,6 +169,30 @@ def test_forged_cert_is_flagged_online(ziziphus3):
     assert flagged and flagged[0].detail["reason"] == "signature-invalid"
 
 
+def test_forged_cross_zone_accepted_is_flagged_online(ziziphus3):
+    from repro.core.cross_zone import XZAccepted, accepted_body
+    dep = ziziphus3
+    monitor = monitored(dep)
+    alice = dep.add_client("alice", "z0")
+    dep.add_client("bob", "z1")
+    dep.sim.schedule(0.0, alice.submit_cross_zone_transfer, "bob", "z1", 5)
+    dep.run(dep.sim.now + 20_000)
+    assert monitor.violations == []
+    # z0's primary coordinates xid "z0:1"; a z1 node forges z1's answer.
+    body = accepted_body("z0:1", "z1", True, "ok")
+    bogus = QuorumCertificate(payload_digest=body,
+                              signatures=(dep.keys.forged("z1n0"),
+                                          dep.keys.forged("z1n1"),
+                                          dep.keys.forged("z1n2")))
+    forged = XZAccepted(xid="z0:1", zone_id="z1", ok=True, reason="ok",
+                        cert=bogus, sender="z1n3")
+    deliver(dep, "z0n0", forged, "z1n3")
+    flagged = [v for v in monitor.violations if v.kind == "cert-invalid"]
+    assert flagged and flagged[0].detail["reason"] == "signature-invalid"
+    assert flagged[0].culprit == "z1n3"
+    assert flagged[0].detail["msg"] == "xz-accepted"
+
+
 def test_honest_ziziphus_run_is_clean():
     dep = small_ziziphus(num_zones=3, f=1)
     monitor = monitored(dep)

@@ -2,8 +2,9 @@
 
 import pytest
 
+import importlib.util
+
 from repro import quorums
-from repro.core import quorums as core_quorums
 
 
 @pytest.mark.parametrize("f", [0, 1, 2, 5])
@@ -39,8 +40,10 @@ def test_two_thirds_quorum(n, quorum):
     assert quorums.two_thirds_quorum(n) == quorum
 
 
-def test_core_quorums_reexports_the_leaf_module():
-    for name in quorums.__all__ if hasattr(quorums, "__all__") else []:
-        assert getattr(core_quorums, name) is getattr(quorums, name)
-    assert core_quorums.intra_zone_quorum is quorums.intra_zone_quorum
-    assert core_quorums.group_size is quorums.group_size
+def test_protocol_layers_use_the_one_quorum_module():
+    from repro.core import client, endorsement, zone
+    assert importlib.util.find_spec("repro.core.quorums") is None
+    assert zone.intra_zone_quorum is quorums.intra_zone_quorum
+    assert zone.group_size is quorums.group_size
+    assert endorsement.intra_zone_quorum is quorums.intra_zone_quorum
+    assert client.weak_quorum is quorums.weak_quorum

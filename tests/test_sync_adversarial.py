@@ -132,3 +132,28 @@ def test_replayed_commit_executes_once(ziziphus3):
     deliver(dep, "z2n1", commit, "z0n0")
     node = dep.nodes["z2n1"]
     assert node.metadata.migrations_per_client["c1"] == 1
+
+
+def test_commit_context_with_a_foreign_answer_is_refused(ziziphus3):
+    """A primary that slips a signed non-ACCEPTED message into its commit
+    context's majority proof gets no votes (and crashes no validator)."""
+    from repro.core.sync_protocol import CommitContext
+    from repro.messages.endorse import EndorsePrePrepare
+    dep = ziziphus3
+    dep.add_client("c1", "z0")
+    env = signed_migration(dep)
+    ballot = Ballot(seq=1, zone_id="z0")
+    stray = Accept(view=0, ballot=ballot, prev_ballot=GENESIS_BALLOT,
+                   request_digest=digest((env.payload,)), cert=None,
+                   sender="z0n0")
+    context = CommitContext(ballot=ballot, prev_ballot=GENESIS_BALLOT,
+                            requests=(env,),
+                            accepteds=(sign_message(dep.keys, "z0n0",
+                                                    stray),))
+    pre_prepare = EndorsePrePrepare(instance="gsync-commit/1.z0", view=0,
+                                    payload=context,
+                                    endorse_digest=context.body(),
+                                    use_prepare=False, sender="z0n0")
+    deliver(dep, "z0n1", pre_prepare, "z0n0")
+    assert not dep.nodes["z0n1"].endorsement.has_instance(
+        "gsync-commit/1.z0")
